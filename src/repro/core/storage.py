@@ -646,8 +646,10 @@ class StorageManager:
                         )
                     except BrokenProcessPool:
                         # Workers died mid-version (OOM kill, sandbox
-                        # policy). Finish the job serially — same bytes,
-                        # honest accounting — instead of failing ingest.
+                        # policy). Finish the version serially — same
+                        # bytes, honest accounting — instead of failing
+                        # ingest. ``workers = 1`` keeps the remaining
+                        # GOPs from building a fresh pool each.
                         warnings.warn(
                             "encode worker pool broke mid-ingest; finishing "
                             "serially",
@@ -660,7 +662,7 @@ class StorageManager:
                             "to serial",
                         ).inc()
                         executor.shutdown(wait=False)
-                        executor = None
+                        executor, workers = None, 1
                         payloads = codec.encode_gop_ladders(
                             batch, ladder_map, workers=1, registry=self.metrics
                         )

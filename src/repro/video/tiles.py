@@ -11,10 +11,13 @@ move bytes only and never run the entropy decoder.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import struct
+import threading
 import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.geometry.grid import TileGrid
 from repro.video.frame import Frame
@@ -298,17 +301,21 @@ def _encode_tile_shm_job(
 
 
 _ENCODE_CONTEXT: multiprocessing.context.BaseContext | None = None
+_FORKSERVER_LOCK = threading.Lock()
+#: The directory ``repro`` is imported from, which the forkserver needs
+#: on its import path to preload this module.
+_PACKAGE_PARENT = str(Path(__file__).resolve().parents[2])
 
 
 def encode_context() -> multiprocessing.context.BaseContext:
     """The multiprocessing context every encode pool is built from.
 
-    Explicitly ``forkserver`` (preloaded with this module, so numpy and
-    the codec are imported once in the server and inherited by every
-    forked worker) or ``spawn`` where forkserver is unavailable — never
-    the platform default: bare ``fork`` after threads exist, with numpy
-    loaded, is a latent deadlock, and the import cost should be paid once
-    per pool rather than trusted to luck.
+    Explicitly ``forkserver`` (preloaded with this module, so numpy,
+    scipy.fft and the codec are imported once in the server and inherited
+    by every forked worker) or ``spawn`` where forkserver is unavailable —
+    never the platform default: bare ``fork`` after threads exist, with
+    numpy loaded, is a latent deadlock, and the import cost should be paid
+    once per server rather than trusted to luck.
     """
     global _ENCODE_CONTEXT
     if _ENCODE_CONTEXT is None:
@@ -319,6 +326,39 @@ def encode_context() -> multiprocessing.context.BaseContext:
             context = multiprocessing.get_context("spawn")
         _ENCODE_CONTEXT = context
     return _ENCODE_CONTEXT
+
+
+def _start_encode_forkserver() -> None:
+    """Start the encode forkserver, if it is not running, able to import
+    this package, so the preload really happens.
+
+    CPython's ``forkserver.main`` (3.10-3.13) is handed the parent's
+    ``sys.path`` but never applies it, and it ignores an ``ImportError``
+    from the preload. When ``repro`` is importable only through a
+    run-time ``sys.path`` entry (scripts, notebooks, the benchmark), the
+    preload would fail silently and every fresh worker would import
+    numpy, scipy and the codec itself. The server inherits this process's
+    environment, so the package's parent goes on ``PYTHONPATH`` for that
+    one spawn; a running server makes this a no-op, and a stopped one is
+    restarted preloaded. Under ``-E``/``-I`` the variable is ignored and
+    workers import the codec on first use, as before.
+    """
+    if encode_context().get_start_method() != "forkserver":
+        return
+    from multiprocessing import forkserver
+
+    with _FORKSERVER_LOCK:
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            path for path in (_PACKAGE_PARENT, saved) if path
+        )
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
 
 
 def encode_start_method() -> str:
@@ -341,6 +381,7 @@ def make_encode_executor(
     if workers <= 1 or jobs <= 1:
         return None
     try:
+        _start_encode_forkserver()
         return ProcessPoolExecutor(
             max_workers=min(workers, jobs), mp_context=encode_context()
         )

@@ -8,6 +8,11 @@ specification) and parallel ingest byte-identical to serial.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +369,81 @@ class TestPoolFallbackIsLoud:
         assert make_encode_executor(1, 32, registry=registry) is None
         assert make_encode_executor(4, 1, registry=registry) is None
         assert "ingest.pool_fallback" not in registry.snapshot()["counters"]
+
+
+class TestBrokenPoolFinishesSerially:
+    def test_break_mid_ingest_builds_no_second_pool(self, tmp_path, monkeypatch):
+        """A pool that breaks on the first GOP leaves the rest of the
+        version serial: same bytes as workers=1, one fallback, one pool."""
+        pools = []
+
+        class BreakingExecutor:
+            def __init__(self, max_workers, mp_context=None):
+                self._max_workers = max_workers
+                pools.append(self)
+
+            def map(self, fn, jobs, chunksize=1):
+                raise BrokenProcessPool("encode worker killed")
+
+            def shutdown(self, wait=True):
+                pass
+
+        frames = list(
+            synthetic_video("venice", width=64, height=32, fps=4.0, duration=3.0, seed=3)
+        )
+        StorageManager(tmp_path / "serial").ingest("clip", iter(frames), CONFIG, workers=1)
+        monkeypatch.setattr(tiles, "ProcessPoolExecutor", BreakingExecutor)
+        storage = StorageManager(tmp_path / "broken")
+        with pytest.warns(RuntimeWarning, match="broke mid-ingest"):
+            storage.ingest("clip", iter(frames), CONFIG, workers=2)
+        assert _segment_files(tmp_path / "broken") == _segment_files(tmp_path / "serial")
+        assert storage.metrics.snapshot()["counters"]["ingest.pool_fallback"] == 1
+        assert len(pools) == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_PRELOAD_SCRIPT = """
+import multiprocessing.forkserver
+import sys
+
+sys.path.insert(0, {src!r})
+from repro.video.tiles import make_encode_executor
+
+PROBE = (
+    "sorted(m for m in ('numpy', 'scipy.fft', 'repro.video.tiles') "
+    "if m in __import__('sys').modules)"
+)
+for _ in range(2):
+    pool = make_encode_executor(2, 4)
+    try:
+        print(pool.submit(eval, PROBE).result(timeout=60))
+    finally:
+        pool.shutdown()
+    multiprocessing.forkserver._forkserver._stop()
+"""
+
+
+@pytest.mark.skipif(
+    tiles.encode_start_method() != "forkserver", reason="no forkserver start method"
+)
+def test_fresh_workers_fork_with_the_codec_imported(tmp_path):
+    """With ``repro`` reachable only through a run-time ``sys.path``
+    entry, a fresh worker's first job already sees numpy, scipy.fft and
+    the codec imported — also after the forkserver is stopped and
+    restarted by the next pool."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, "-c", _PRELOAD_SCRIPT.format(src=str(SRC))],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    preloaded = str(["numpy", "repro.video.tiles", "scipy.fft"])
+    assert result.stdout.splitlines() == [preloaded, preloaded]
 
 
 class TestDispatchChunking:
