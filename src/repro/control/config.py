@@ -8,16 +8,11 @@ server tunables (which already carry pin budget, shard map, process
 count), the control-plane knobs, and the delivery transport, in one
 validated dataclass that every entry point (``VisualCloud.serve``, the
 ``serve``/``bench-serve`` CLI, the bench driver) accepts directly.
-
-The old kwargs keep working for one release: ``VisualCloud.serve``
-maps ``transport=``/``base_url=`` onto a ClusterConfig through
-:func:`cluster_from_legacy_kwargs` with a ``DeprecationWarning``.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.control.forecast import DemandForecaster, make_forecaster
 from repro.control.planner import Planner
@@ -99,28 +94,5 @@ class ClusterConfig:
         if self.base_url is not None and self.transport != "http":
             raise ValueError("base_url only applies to transport='http'")
 
-    def with_base_url(self, base_url: str) -> "ClusterConfig":
-        """This config pointed at a live server — the bench driver binds
-        an ephemeral port first, then derives the session-facing config."""
-        return replace(self, transport="http", base_url=base_url)
 
-
-def cluster_from_legacy_kwargs(
-    transport: str = "sim",
-    base_url: str | None = None,
-    *,
-    stacklevel: int = 3,
-) -> ClusterConfig:
-    """The one-release mapping shim: old ``VisualCloud.serve`` kwargs
-    folded into a :class:`ClusterConfig`, with a deprecation warning
-    naming the replacement."""
-    warnings.warn(
-        "serve(..., transport=, base_url=) is deprecated; pass "
-        "cluster=ClusterConfig(transport=..., base_url=...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return ClusterConfig(transport=transport, base_url=base_url)
-
-
-__all__ = ["ClusterConfig", "ControlConfig", "cluster_from_legacy_kwargs"]
+__all__ = ["ClusterConfig", "ControlConfig"]

@@ -135,8 +135,6 @@ class VisualCloud:
         cluster=None,
         link: SimulatedLink | None = None,
         start_offsets: list[float] | None = None,
-        transport: str | None = None,
-        base_url: str | None = None,
     ) -> QoEReport | list[QoEReport]:
         """Stream a stored video to one or many viewers — the single
         delivery entry point.
@@ -159,27 +157,18 @@ class VisualCloud:
           session's bandwidth model, so reports stay comparable with the
           simulated paths.
 
-        The pre-cluster kwargs ``transport=``/``base_url=`` keep working
-        for one release via a mapping shim that warns. The PR 4-era
-        shapes ``serve(name, trace, config)`` and ``serve_all`` (which
-        warned for five releases) are gone; use ``(trace, config)``
-        pairs and ``serve(name, sessions, link=...)``.
+        The older shapes are gone: ``serve(name, trace, config)``,
+        ``serve_all``, and the loose ``transport=``/``base_url=`` kwargs
+        (pass ``cluster=ClusterConfig(transport=..., base_url=...)``).
         """
-        from repro.control.config import ClusterConfig, cluster_from_legacy_kwargs
+        from repro.control.config import ClusterConfig
 
         if isinstance(sessions, Trace):
             raise TypeError(
                 "serve(name, trace, config) was removed; pass "
                 "serve(name, (trace, config)) instead"
             )
-        if transport is not None or base_url is not None:
-            if cluster is not None:
-                raise TypeError(
-                    "pass cluster=ClusterConfig(...) or the deprecated "
-                    "transport=/base_url= kwargs, not both"
-                )
-            cluster = cluster_from_legacy_kwargs(transport or "sim", base_url)
-        elif cluster is None:
+        if cluster is None:
             cluster = ClusterConfig()
 
         single = isinstance(sessions, tuple)

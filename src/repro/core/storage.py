@@ -11,13 +11,12 @@ changed segments plus a new metadata file whose index points at old files
 for unchanged content. Readers of an existing version are unaffected —
 snapshot isolation by construction.
 
-The read surface — ``build_manifest`` + ``read_segment`` — is the
-:class:`~repro.core.backends.SegmentBackend` protocol (re-exported here
-as :data:`SegmentBackend`): :class:`StorageManager` is its canonical
-local-disk implementation, and the in-memory / remote-peer / tiered
-backends in :mod:`repro.core.backends` satisfy the same contract, which
-is what lets the sharded delivery tier serve segments a node does not
-own.
+The read surface — ``build_manifest`` + ``read_segment`` — is duck-typed:
+:class:`~repro.serve.client.RemoteStorage` offers the same two methods
+over HTTP, so the session loop runs unchanged over disk or the wire, and
+:meth:`StorageManager.scrub` repairs from anything with ``read_segment``.
+A sharded server fetches the segments it does not own from their owners
+through :class:`~repro.serve.failover.FailoverSegmentClient` instead.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.core.backends import SegmentBackend
 from repro.core.catalog import Catalog
 from repro.core.errors import (
     CatalogError,
@@ -1338,16 +1336,18 @@ class StorageManager:
 
     def scrub(
         self,
-        source: SegmentBackend | None = None,
+        source=None,
         video: str | None = None,
     ) -> dict:
         """Proactive integrity walk: verify every committed segment file.
 
         Reads each referenced segment file directly (bypassing the buffer
         pool — the point is the disk) and checks size and checksum. With
-        a ``source`` backend (a peer owner, a replica, a backup), corrupt
-        segments are re-fetched, re-verified, and atomically repaired;
-        without one they are only reported. Returns a deterministic
+        a ``source`` — anything with ``read_segment(name, gop, tile,
+        quality)``: a peer's :class:`~repro.serve.client.RemoteStorage`,
+        another root's :class:`StorageManager` — corrupt segments are
+        re-fetched, re-verified, and atomically repaired; without one
+        they are only reported. Returns a deterministic
         report with per-video counts.
         """
         names = [video] if video is not None else self.list_videos()

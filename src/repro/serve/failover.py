@@ -32,7 +32,10 @@ type as :class:`HttpSegmentClient` (``fetch_manifest`` /
 :class:`~repro.serve.client.RemoteStorage`, the streamers, and
 :func:`~repro.core.resilience.read_window_resilient` run over a replica
 set unchanged. Every failure leaves as the PR 3 error taxonomy — never a
-raw ``OSError``.
+raw ``OSError``. A sharded :class:`~repro.serve.server.SegmentServer`
+runs its peer fetches and read-repairs through one of these too
+(:meth:`FailoverSegmentClient.fetch_from`), so there is one owner loop
+and every peer has a breaker.
 
 Optionally, ``hedge_delay`` arms *hedged requests* for tail latency: if
 the primary replica hasn't answered a segment fetch within the delay, a
@@ -415,24 +418,25 @@ class FailoverSegmentClient:
         return result
 
     def _owner_urls(self, name: str, key: SegmentKey) -> frozenset:
-        """The replica URLs owning one segment under the shard map.
-
-        Owner node ids resolve through ``node_urls`` (falling back to the
-        id itself, for tiers whose node ids *are* URLs) and are kept only
-        when they name a configured replica — a map mentioning nodes this
-        client cannot reach must not stop it from streaming.
-        """
+        """The replica URLs owning one segment under the shard map."""
         if self.shard_map is None:
             return frozenset()
-        owners = self.shard_map.owners(name, key)
-        urls = frozenset(
-            self._node_urls.get(node, node) for node in owners
-        ) & self._replica_urls
+        urls = self._urls_of(self.shard_map.owners(name, key))
         if urls:
             self._shard_routed.inc()
         else:
             self._shard_unroutable.inc()
         return urls
+
+    def _urls_of(self, nodes) -> frozenset:
+        """Node ids resolved through ``node_urls`` (falling back to the id
+        itself, for tiers whose node ids *are* URLs), kept only when they
+        name a configured replica — a map mentioning nodes this client
+        cannot reach must not stop it from streaming."""
+        return (
+            frozenset(self._node_urls.get(node, node) for node in nodes)
+            & self._replica_urls
+        )
 
     def _ordered_candidates(self, prefer: frozenset) -> list[Replica]:
         """Health-tiered candidates, owners first *within* each tier.
@@ -475,13 +479,31 @@ class FailoverSegmentClient:
         what: str,
         op: Callable[[HttpSegmentClient], object],
         prefer: frozenset = frozenset(),
+        *,
+        only_preferred: bool = False,
+        not_found_is_final: bool = True,
     ):
         """Run ``op`` against the best replica, failing over on
-        transient errors until the candidates or the budget run out."""
+        transient errors until the candidates or the budget run out.
+
+        ``only_preferred`` drops every candidate outside ``prefer``.
+        ``not_found_is_final=False`` fails over on
+        :class:`SegmentNotFoundError` too, for callers that know the
+        segment exists (read-repair), so a replica without an intact copy
+        is just one more failed candidate.
+        """
         self._requests.inc(endpoint=what)
-        last_error: TransientSegmentError | None = None
+        retryable = (
+            TransientSegmentError
+            if not_found_is_final
+            else (TransientSegmentError, SegmentNotFoundError)
+        )
+        candidates = self._ordered_candidates(prefer)
+        if only_preferred:
+            candidates = [replica for replica in candidates if replica.url in prefer]
+        last_error: Exception | None = None
         attempted = 0
-        for replica in self._ordered_candidates(prefer):
+        for replica in candidates:
             if attempted > 0 and not self.budget.try_spend():
                 self._exhausted.inc()
                 break
@@ -495,14 +517,36 @@ class FailoverSegmentClient:
             attempted += 1
             try:
                 return self._call(replica, op)
-            except TransientSegmentError as error:
+            except retryable as error:
                 last_error = error
                 continue
         if last_error is not None:
             raise last_error
         raise TransientSegmentError(
             f"no replica admitted the {what} request "
-            f"({len(self.replicas)} configured, all circuits open)"
+            f"({len(candidates)} candidates, all circuits open)"
+        )
+
+    def fetch_from(
+        self,
+        nodes,
+        op: Callable[[HttpSegmentClient], object],
+        not_found_is_final: bool = True,
+    ):
+        """Run ``op`` on the replicas of ``nodes`` only, healthiest first.
+
+        A sharded server's peer tier: ``nodes`` are a segment's owners
+        (ids resolved like the shard map's), and non-owners are never
+        asked. Breakers, the retry budget and ``Retry-After`` backoff
+        apply as for :meth:`fetch_segment`, so a dead owner costs
+        ``failure_threshold`` timeouts, not one per request.
+        """
+        return self._fetch(
+            "owned",
+            op,
+            self._urls_of(nodes),
+            only_preferred=True,
+            not_found_is_final=not_found_is_final,
         )
 
     # -- HttpSegmentClient duck type ------------------------------------------
@@ -599,38 +643,6 @@ class FailoverSegmentClient:
                     last_error = error
         assert last_error is not None
         raise last_error
-
-    # -- control plane --------------------------------------------------------
-
-    def broadcast_control(self, plan) -> dict:
-        """Push one versioned control plan to every configured replica —
-        the controller's fan-out when it holds replica URLs instead of
-        in-process handles.
-
-        Best-effort per replica: an unreachable node is reported, not
-        fatal (it will refuse or accept the next plan when it returns,
-        and version monotonicity makes late application safe). Only a
-        *unanimous* stale-version refusal re-raises — that means another
-        controller is ahead of this one.
-        """
-        from repro.control.actuators import HttpActuator, StalePlanError
-
-        applied: dict[str, dict] = {}
-        refused: dict[str, str] = {}
-        errors: dict[str, str] = {}
-        for replica in self.replicas.replicas:
-            actuator = HttpActuator(
-                replica.url, timeout=self.config.request_timeout
-            )
-            try:
-                applied[replica.url] = actuator.apply(plan)
-            except StalePlanError as error:
-                refused[replica.url] = str(error)
-            except Exception as error:  # noqa: BLE001 - per-replica report
-                errors[replica.url] = f"{type(error).__name__}: {error}"
-        if refused and not applied:
-            raise StalePlanError(next(iter(refused.values())))
-        return {"applied": applied, "refused": refused, "errors": errors}
 
     # -- introspection --------------------------------------------------------
 

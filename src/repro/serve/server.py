@@ -88,6 +88,7 @@ from repro.core.errors import (
 )
 from repro.core.storage import checksum_hex
 from repro.obs import MetricsRegistry, merge_snapshots
+from repro.serve.failover import FailoverConfig, FailoverSegmentClient
 from repro.serve.hotset import HotSet
 from repro.serve.placement import ShardMap
 from repro.stream.dash import SegmentKey
@@ -121,12 +122,6 @@ class ServerConfig:
     peers: tuple[tuple[str, str], ...] = ()  # (node_id, base_url) sibling addresses
     peer_timeout: float = 5.0  # seconds per peer segment fetch
     peer_cache_bytes: int = 8 * 1024 * 1024  # peer-fetched payload cache; 0 disables
-    # When a local owned read fails *repairably* (index entry present,
-    # bytes missing/torn/corrupt) and the shard map holds rf >= 2, fetch
-    # the segment from a peer owner, verify it against the index
-    # checksum, atomically rewrite the local file, and serve the request
-    # — checksum-triggered peer read-repair. Off = report 409 instead.
-    read_repair: bool = True
 
     def __post_init__(self) -> None:
         if self.read_workers < 1:
@@ -345,15 +340,14 @@ class SegmentServer:
         # Multi-process wiring (set by the worker shim, see multiproc.py).
         self._worker_id: int | None = None
         self._peer_ports: tuple[int, ...] = ()
-        # Sharded-delivery wiring. The shard map and peer table are read
+        # Sharded-delivery wiring. The shard map and peer client are read
         # on executor threads but only *replaced* (never mutated) on the
         # loop thread — atomic attribute swaps need no lock.
         self.shard_map: ShardMap | None = self.config.shard_map
         self.node_id: str = self.config.node_id
-        self._peer_backends: dict[str, object] = {}
-        self._peer_lock = threading.Lock()
-        if self.config.peers:
-            self._set_peer_urls(dict(self.config.peers))
+        self.peer_client: FailoverSegmentClient | None = None
+        self._peer_urls: dict[str, str] = {}
+        self._set_peer_urls(dict(self.config.peers))
         # The peer cache owns a private registry: LruSegmentCache reports
         # under ``cache.*``, and sharing the server registry would fold
         # peer-tier hits into the storage buffer pool's accounting.
@@ -469,24 +463,28 @@ class SegmentServer:
     # -- sharded delivery ------------------------------------------------------
 
     def _set_peer_urls(self, urls: dict[str, str]) -> None:
-        """(Re)build the sibling backend table from node id → base URL."""
-        from repro.core.backends import RemotePeerBackend
+        """(Re)build the peer client from node id → base URL.
 
-        with self._peer_lock:
-            for node, backend in list(self._peer_backends.items()):
-                if urls.get(node) != backend.base_url:
-                    backend.close()
-                    del self._peer_backends[node]
-            for node, url in urls.items():
-                if node == self.node_id or node in self._peer_backends:
-                    continue
-                self._peer_backends[node] = RemotePeerBackend(
-                    url, timeout=self.config.peer_timeout
-                )
-
-    def _peer_backend(self, node: str):
-        with self._peer_lock:
-            return self._peer_backends.get(node)
+        An unchanged table keeps its client, and with it every peer's
+        breaker state; a changed one starts over with fresh breakers.
+        """
+        urls = {node: url for node, url in urls.items() if node != self.node_id}
+        if urls == self._peer_urls:
+            return
+        previous = self.peer_client
+        self.peer_client = (
+            FailoverSegmentClient(
+                list(urls.values()),
+                config=FailoverConfig(request_timeout=self.config.peer_timeout),
+                registry=MetricsRegistry(),
+                node_urls=urls,
+            )
+            if urls
+            else None
+        )
+        self._peer_urls = urls
+        if previous is not None:
+            previous.close()
 
     def update_shard_map(self, shard_map: ShardMap, peers=None) -> int:
         """Swap in a new placement blueprint (loop thread only).
@@ -538,7 +536,7 @@ class SegmentServer:
         def fetch() -> bytes:
             nonlocal loaded
             loaded = True
-            return self._fetch_from_owners(name, key, owners)
+            return self._read_from_owners(name, key, owners)
 
         if self._peer_cache is None:
             return fetch()
@@ -547,42 +545,64 @@ class SegmentServer:
             self._peer_cache_hits.inc()
         return data
 
-    def _fetch_from_owners(self, name: str, key: SegmentKey, owners) -> bytes:
-        """One segment's bytes from its owner nodes, first reachable wins.
+    def _peer_fetch(
+        self, name: str, key: SegmentKey, owners, repair: bool = False
+    ) -> bytes:
+        """One segment's bytes from its peer owners, through the peer
+        client's breakers and retry budget.
 
-        Error contract: an owner answering 404 is *authoritative* — the
-        segment does not exist anywhere, and the not-found propagates.
-        Owners that are merely unreachable are skipped; when all of them
-        are, local storage is tried (full-copy deployments and freshly
-        re-mapped nodes often still hold the bytes) and only then does
-        the read surface as transient, so clients fail over instead of
-        treating an outage as data loss.
+        With ``repair``, a peer 404 is *not* authoritative — our own
+        index proves the segment exists, so a peer without it has its
+        own damage — and each copy must pass ``storage.repair_segment``'s
+        index-checksum check, which also rewrites the local file, before
+        it is accepted; a copy that fails it moves on to the next owner.
         """
-        last_error: Exception | None = None
-        for node in owners:
-            if node == self.node_id:
-                continue
-            backend = self._peer_backend(node)
-            if backend is None:
-                continue
+
+        def fetch(client) -> bytes:
             try:
-                data = backend.fetch_segment_key(name, key)
+                data = client.fetch_segment(name, key)
             except SegmentNotFoundError:
+                if repair:
+                    self._peer_errors.inc()
                 raise
-            except TransientSegmentError as error:  # includes read timeouts
+            except TransientSegmentError:  # includes read timeouts
                 self._peer_errors.inc()
-                last_error = error
-                continue
+                raise
             self._peer_fetches.inc()
             self._peer_bytes.inc(len(data))
+            if repair:
+                self.storage.repair_segment(
+                    name, key.window, key.tile, key.quality, data
+                )
             return data
+
+        peers = self.peer_client
+        if peers is None:
+            raise TransientSegmentError("this node has no peers configured")
+        return peers.fetch_from(owners, fetch, not_found_is_final=not repair)
+
+    def _read_from_owners(self, name: str, key: SegmentKey, owners) -> bytes:
+        """A non-owned segment's bytes: its owners first, local disk last.
+
+        An owner answering 404 is *authoritative* — the segment does not
+        exist anywhere, and the not-found propagates. When no owner is
+        reachable (or every breaker is open), local storage is tried
+        (full-copy deployments and freshly re-mapped nodes often still
+        hold the bytes), and only then does the read surface as
+        transient, so clients fail over instead of treating an outage as
+        data loss.
+        """
+        try:
+            return self._peer_fetch(name, key, owners)
+        except TransientSegmentError as error:
+            unreachable = error
         try:
             data = self.storage.read_segment(name, key.window, key.tile, key.quality)
         except SegmentNotFoundError:
             raise TransientSegmentError(
                 f"no owner of {name}/{key.to_path()} is reachable "
-                f"(owners={list(owners)!r}, last error: {last_error})"
-            ) from last_error
+                f"(owners={list(owners)!r}, last error: {unreachable})"
+            ) from unreachable
         self._peer_fallback_local.inc()
         return data
 
@@ -590,39 +610,13 @@ class SegmentServer:
         self, name: str, key: SegmentKey, owners, cause: SegmentNotFoundError
     ) -> bytes:
         """Heal a locally-failed owned read from a peer owner (blocking;
-        runs on the read executor).
-
-        Unlike :meth:`_fetch_from_owners`, a peer 404 is *not*
-        authoritative here — our own index proves the segment exists, a
-        peer without it has its own damage — and local storage is never a
-        fallback (the local copy is the broken one). Every candidate copy
-        must pass the index checksum before it touches disk, so a peer
-        serving corrupt bytes can neither be served nor written.
-        """
+        runs on the read executor). Local storage is never a fallback:
+        the local copy is the broken one."""
         self._repair_attempts.inc()
-        for node in owners:
-            if node == self.node_id:
-                continue
-            backend = self._peer_backend(node)
-            if backend is None:
-                continue
-            try:
-                data = backend.fetch_segment_key(name, key)
-            except (SegmentNotFoundError, TransientSegmentError):
-                self._peer_errors.inc()
-                continue
-            self._peer_fetches.inc()
-            self._peer_bytes.inc(len(data))
-            try:
-                # Verifies against the index entry, atomically rewrites
-                # the local file, and invalidates the buffer pool entry.
-                self.storage.repair_segment(
-                    name, key.window, key.tile, key.quality, data
-                )
-            except SegmentNotFoundError:
-                continue  # peer copy corrupt too (or raced a drop)
-            return data
-        self._repair_failed.inc()
+        try:
+            return self._peer_fetch(name, key, owners, repair=True)
+        except (SegmentNotFoundError, TransientSegmentError):
+            self._repair_failed.inc()
         raise cause
 
     def _on_storage_drop(self, name: str) -> None:
@@ -672,6 +666,8 @@ class SegmentServer:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
+        if self.peer_client is not None:
+            self.peer_client.close()
 
     # -- pin prewarm ----------------------------------------------------------
 
@@ -1133,8 +1129,7 @@ class SegmentServer:
                 # bytes failed. With rf >= 2 a peer owner holds an intact
                 # copy: heal the local file and serve the request.
                 if not (
-                    self.config.read_repair
-                    and getattr(error, "repairable", False)
+                    getattr(error, "repairable", False)
                     and owners is not None
                     and len(owners) > 1
                 ):

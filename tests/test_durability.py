@@ -34,7 +34,7 @@ from repro.chaos.corrupt import segment_corruption_corpus
 from repro.core.errors import CatalogError, SegmentCorruptError
 from repro.core.storage import StorageManager, checksum_hex, segment_checksum
 from repro.obs import MetricsRegistry
-from repro.serve.client import HttpSegmentClient
+from repro.serve.client import HttpSegmentClient, RemoteStorage
 from repro.serve.placement import ShardMap, materialize_shards
 from repro.serve.server import ServerConfig, start_server
 
@@ -349,7 +349,39 @@ class TestReadRepair:
         assert registry.counter("storage.repair_success").total() == 1
         assert registry.counter("storage.repair_failed").total() == 0
 
-    def test_repair_disabled_surfaces_the_corruption(self, session_db, tmp_path):
+    def test_scrub_repairs_from_another_owner(self, session_db, tier):
+        manifest = session_db.storage.build_manifest("clip")
+        key = next(
+            key
+            for key in sorted(manifest.segment_sizes, key=lambda k: k.to_path())
+            if tier["map"].owns("node-0", "clip", key)
+        )
+        other = next(
+            node for node in tier["map"].owners("clip", key) if node != "node-0"
+        )
+        storage = tier["storages"]["node-0"]
+        meta = storage.meta("clip")
+        path = storage.catalog.segment_path(
+            "clip",
+            key.window,
+            key.tile,
+            key.quality,
+            meta.entries[(key.window, key.tile, key.quality)].file_version,
+        )
+        self._rot(path)
+        canonical = session_db.storage.read_segment(
+            "clip", key.window, key.tile, key.quality
+        )
+        with HttpSegmentClient(tier["urls"][other]) as client:
+            report = storage.scrub(source=RemoteStorage(client), video="clip")
+        assert f"clip/{path.name}" in report["repaired"]
+        assert path.read_bytes() == canonical
+
+    def test_no_reachable_peer_owner_surfaces_the_corruption(
+        self, session_db, tmp_path
+    ):
+        # Read-repair is always on, but with no peer URLs there is no
+        # owner to heal from: the attempt fails and the 409 stands.
         shard_map = ShardMap(nodes=NODES, replication_factor=2)
         node_roots = {node: tmp_path / node for node in NODES}
         materialize_shards(session_db.storage, node_roots, shard_map)
@@ -357,7 +389,7 @@ class TestReadRepair:
         storage = StorageManager(node_roots["node-0"], registry=registry)
         handle = start_server(
             storage,
-            ServerConfig(node_id="node-0", shard_map=shard_map, read_repair=False),
+            ServerConfig(node_id="node-0", shard_map=shard_map),
             registry=registry,
         )
         try:
@@ -379,6 +411,7 @@ class TestReadRepair:
             with HttpSegmentClient(handle.base_url) as client:
                 with pytest.raises(SegmentCorruptError):
                     client.fetch_segment("clip", key)
-            assert registry.counter("storage.repair_attempts").total() == 0
+            assert registry.counter("storage.repair_attempts").total() == 1
+            assert registry.counter("storage.repair_failed").total() == 1
         finally:
             handle.stop()

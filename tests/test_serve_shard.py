@@ -14,15 +14,21 @@ over actual sockets. The contracts pinned here:
   path.
 * **Coherence** — a shard-map change drops pins the node no longer owns
   and refuses version rollback.
+* **Bounded failure cost** — a dead owner costs one breaker trip, not a
+  peer timeout on every non-owned read.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import sys
+import threading
+import time
 
 import pytest
 
-from repro import Quality, SessionConfig
+from repro import IngestConfig, Quality, SessionConfig, TileGrid, VisualCloud
 from repro.core.errors import SegmentNotFoundError, TransientSegmentError
 from repro.core.storage import StorageManager
 from repro.obs import MetricsRegistry
@@ -40,6 +46,7 @@ from repro.stream.abr import UniformAdaptive
 from repro.stream.dash import SegmentKey
 from repro.stream.network import ConstantBandwidth
 from repro.workloads.users import ViewerPopulation
+from repro.workloads.videos import synthetic_video
 
 NODES = ("node-0", "node-1", "node-2")
 
@@ -209,6 +216,119 @@ class TestFailover:
         meta = session_db.meta("clip")
         assert len(report.records) == session_db.storage.build_manifest("clip").window_count
         assert meta.duration > 0
+
+
+class TestSharedPeerClient:
+    def test_concurrent_non_owned_reads_fetch_each_segment_once(
+        self, session_db, tier
+    ):
+        # Every read-executor thread shares node-0's one peer client (its
+        # breakers, budget and per-replica counters) and the peer cache's
+        # single-flight: a lost update shows as a miscount below.
+        manifest = session_db.storage.build_manifest("clip")
+        keys = [
+            key
+            for key in sorted(manifest.segment_sizes, key=lambda k: k.to_path())
+            if not tier.shard_map.owns("node-0", "clip", key)
+        ]
+        expected = {
+            key: session_db.storage.read_segment(
+                "clip", key.window, key.tile, key.quality
+            )
+            for key in keys
+        }
+        failures = []
+
+        def reader(offset):
+            with HttpSegmentClient(tier.node_urls["node-0"]) as client:
+                for index in range(len(keys)):
+                    key = keys[(index + offset) % len(keys)]
+                    try:
+                        if client.fetch_segment("clip", key) != expected[key]:
+                            failures.append(f"{key.to_path()}: wrong bytes")
+                    except TransientSegmentError as error:
+                        failures.append(f"{key.to_path()}: {error}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(offset,)) for offset in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        fetches = tier.counter("node-0", "serve.peer_fetches")
+        assert fetches == len(keys)
+        assert tier.counter("node-0", "serve.peer_errors") == 0
+        stats = tier.handles["node-0"].server.peer_client.stats()
+        assert sum(replica["requests"] for replica in stats["replicas"]) == fetches
+        assert all(not replica["transitions"] for replica in stats["replicas"])
+
+
+class TestBoundedFailureCost:
+    def test_blackholed_owner_opens_its_breaker(self, tmp_path):
+        # 48 segments, so a two-node rf=1 map leaves node-0 well over 16
+        # it does not own; node-0 still holds every file locally.
+        db = VisualCloud(tmp_path / "db")
+        db.ingest(
+            "clip",
+            synthetic_video("venice", width=64, height=32, fps=4.0, duration=3.0, seed=5),
+            IngestConfig(
+                grid=TileGrid(2, 4),
+                qualities=(Quality.HIGH, Quality.LOW),
+                gop_frames=4,
+                fps=4.0,
+            ),
+        )
+        shard_map = ShardMap(nodes=("node-0", "node-1"), replication_factor=1)
+        manifest = db.storage.build_manifest("clip")
+        keys = [
+            key
+            for key in sorted(manifest.segment_sizes, key=lambda k: k.to_path())
+            if not shard_map.owns("node-0", "clip", key)
+        ][:16]
+        assert len(keys) == 16
+        # Listens but never accepts: every request to it hangs until the
+        # client's timeout.
+        blackhole = socket.socket()
+        blackhole.bind(("127.0.0.1", 0))
+        blackhole.listen(64)
+        owner_url = f"http://127.0.0.1:{blackhole.getsockname()[1]}"
+        registry = MetricsRegistry()
+        handle = start_server(
+            db.storage,
+            ServerConfig(
+                node_id="node-0",
+                shard_map=shard_map,
+                peers=(("node-1", owner_url),),
+                peer_timeout=0.3,
+                peer_cache_bytes=0,
+            ),
+            registry=registry,
+        )
+        try:
+            with HttpSegmentClient(handle.base_url) as client:
+                started = time.perf_counter()
+                served = [client.fetch_segment("clip", key) for key in keys]
+                elapsed = time.perf_counter() - started
+            transitions = handle.server.peer_client.breaker_transitions()
+        finally:
+            handle.stop()
+            blackhole.close()
+        for key, data in zip(keys, served):
+            assert data == db.storage.read_segment(
+                "clip", key.window, key.tile, key.quality
+            )
+        # One timeout per read would be 16 x 0.3 s = 4.8 s.
+        assert elapsed < 2.5, f"16 non-owned reads took {elapsed:.2f}s"
+        assert ("closed", "open") in transitions[owner_url]
+        assert registry.counter("serve.peer_fallback_local").total() == 16
 
 
 class TestCoherence:

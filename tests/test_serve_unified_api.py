@@ -3,10 +3,10 @@
 One method covers the whole delivery matrix — single simulated session,
 shared-link contention, and real HTTP transport — and the delivery tier
 is described by one :class:`repro.control.ClusterConfig`. These tests
-pin four things: the removed PR 4-era shapes fail loudly, the
-``transport=``/``base_url=`` kwargs still work for one release behind a
-DeprecationWarning, dispatch errors fire before any work happens, and a
-no-fault wire session is QoE-indistinguishable from its simulated twin.
+pin three things: the removed shapes (the PR 4-era positional config
+and the loose ``transport=``/``base_url=`` kwargs) fail loudly, dispatch
+errors fire before any work happens, and a no-fault wire session is
+QoE-indistinguishable from its simulated twin.
 """
 
 import json
@@ -62,23 +62,14 @@ class TestRemovedShims:
             w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
         ]
 
-
-class TestDeprecatedClusterKwargs:
-    def test_transport_kwarg_warns_and_matches_cluster_form(self, session_db):
-        trace, config = _trace(session_db), _config()
-        with pytest.warns(DeprecationWarning, match="cluster=ClusterConfig"):
-            legacy = session_db.serve("clip", (trace, config), transport="sim")
-        modern = session_db.serve("clip", (trace, config), cluster=ClusterConfig())
-        assert _summary_key(legacy) == _summary_key(modern)
-
-    def test_kwargs_and_cluster_together_rejected(self, session_db):
-        with pytest.raises(TypeError, match="not both"):
-            session_db.serve(
-                "clip",
-                (_trace(session_db), _config()),
-                cluster=ClusterConfig(),
-                transport="sim",
-            )
+    @pytest.mark.parametrize(
+        "legacy",
+        [{"transport": "sim"}, {"transport": "http", "base_url": "http://127.0.0.1:1"}],
+        ids=["transport", "transport-and-base_url"],
+    )
+    def test_legacy_cluster_kwargs_raise(self, session_db, legacy):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            session_db.serve("clip", (_trace(session_db), _config()), **legacy)
 
     def test_cluster_form_does_not_warn(self, session_db, recwarn):
         session_db.serve(
@@ -161,15 +152,6 @@ class TestDispatchErrors:
     def test_unknown_transport(self):
         with pytest.raises(ValueError, match="transport"):
             ClusterConfig(transport="carrier-pigeon")
-
-    def test_unknown_transport_via_legacy_kwarg(self, session_db):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="transport"):
-                session_db.serve(
-                    "clip",
-                    (_trace(session_db), _config()),
-                    transport="carrier-pigeon",
-                )
 
     def test_positional_config_rejected(self, session_db):
         # serve() takes only (name, sessions) positionally now; the old
